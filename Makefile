@@ -35,11 +35,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench: telemetry overhead + solver benchmarks, then the before/after
-## sweep-engine comparison. Writes BENCH_sweep.json at the repo root and
-## fails if the batched engine is slower than the legacy scheduler.
+## bench: telemetry overhead + solver benchmarks, the in-process
+## buffered Table-I handler (model1 and reference, ns/op and allocs/op),
+## then the before/after sweep-engine comparison. Writes
+## BENCH_sweep.json at the repo root and fails if the batched engine is
+## slower than the legacy scheduler.
 bench:
 	$(GO) test -bench=IDSTelemetry -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench=HandlerTable1 -benchmem ./internal/server/
 	$(GO) run ./cmd/cntbench -sweepbench -assert-faster -out BENCH_sweep.json
 
 ## benchgate: the perf-regression gate — re-runs the sweep benchmark

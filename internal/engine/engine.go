@@ -176,16 +176,18 @@ func Run(ctx context.Context, req Request) (Result, error) {
 	reg.Counter(telemetry.KeyEngineJobs).Inc()
 	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanEngineJob)
 	span.Set(telemetry.String(telemetry.AttrJobKind, req.Kind.String()))
-	before := reg.Snapshot().Counters
+	before := reg.CounterValues()
 	start := time.Now()
 	res, err := dispatch(ctx, req)
 	res.Elapsed = time.Since(start)
-	res.Metrics = counterDelta(before, reg.Snapshot().Counters)
+	res.Metrics = counterDelta(before, reg.CounterValues())
 	reg.Histogram(telemetry.KeyEngineJobSeconds, telemetry.LatencyBuckets).
 		Observe(res.Elapsed.Seconds())
 	// The per-job counter deltas double as span attributes: the same
 	// Newton-iteration and cache-hit movement that is global noise in
-	// the registry is exact cost attribution on the job's span.
+	// the registry is cost attribution on the job's span — exact for a
+	// job running alone, approximate under concurrent jobs (see
+	// Result.Metrics).
 	span.SetMetrics(res.Metrics)
 	if len(req.Gates) > 0 || len(req.Drains) > 0 {
 		span.Set(
@@ -459,13 +461,15 @@ func runNetlist(ctx context.Context, req Request) (Result, error) {
 	return Result{}, req.Deck.RunContext(ctx, out)
 }
 
-// counterDelta keeps the non-zero counter movements of one job.
+// counterDelta keeps the non-zero counter movements of one job,
+// rewriting after (a fresh copy nobody else holds) in place.
 func counterDelta(before, after map[string]int64) map[string]int64 {
-	d := make(map[string]int64)
 	for k, v := range after {
 		if dv := v - before[k]; dv != 0 {
-			d[k] = dv
+			after[k] = dv
+		} else {
+			delete(after, k)
 		}
 	}
-	return d
+	return after
 }

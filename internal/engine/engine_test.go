@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"strings"
@@ -416,9 +417,13 @@ func TestMonteCarloEquivalence(t *testing.T) {
 }
 
 // TestMetricsDelta checks that a job's Metrics carry only its own
-// counter movement.
+// counter movement: for a job running alone, exactly the non-zero
+// counter deltas a full registry snapshot taken around Run shows,
+// less Run's own engine.jobs increment (counted before its first
+// read).
 func TestMetricsDelta(t *testing.T) {
 	ref, _ := buildPair(t, fettoy.Default())
+	before := telemetry.Default().Snapshot().Counters
 	res, err := Run(context.Background(), Request{
 		Kind:   FamilySweep,
 		Model:  ref,
@@ -427,6 +432,18 @@ func TestMetricsDelta(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := map[string]int64{}
+	for k, v := range telemetry.Default().Snapshot().Counters {
+		if d := v - before[k]; d != 0 {
+			want[k] = d
+		}
+	}
+	if want[telemetry.KeyEngineJobs]--; want[telemetry.KeyEngineJobs] == 0 {
+		delete(want, telemetry.KeyEngineJobs)
+	}
+	if !maps.Equal(res.Metrics, want) {
+		t.Fatalf("Metrics = %v, want the snapshot delta %v", res.Metrics, want)
 	}
 	if got := res.Metrics["sweep.points"]; got != 5 {
 		t.Fatalf("sweep.points delta = %d, want 5", got)

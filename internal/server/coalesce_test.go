@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -62,6 +63,16 @@ func TestCoalesceKeyCanonical(t *testing.T) {
 		if got := key(jr); got == want {
 			t.Errorf("%s: key collided with the base request: %s", name, got)
 		}
+	}
+
+	// Requests differing only in one drain value — by one ulp — run
+	// different sweeps and must not share a flight.
+	drains := []float64{0, 0.1, 0.2, 0.3}
+	nudged := append([]float64(nil), drains...)
+	nudged[2] = math.Nextafter(nudged[2], 1)
+	if a, b := key(JobRequest{Kind: base.Kind, Model: &ModelSpec{}, Gates: base.Gates, Drains: drains}),
+		key(JobRequest{Kind: base.Kind, Model: &ModelSpec{}, Gates: base.Gates, Drains: nudged}); a == b {
+		t.Errorf("one differing drain value coalesced: %s", a)
 	}
 
 	// The rms-compare reference model canonicalises the same way.

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"cntfet/internal/fettoy"
@@ -88,61 +87,57 @@ func RouteKey(jr JobRequest) string {
 	return jr.Model.Key()
 }
 
-// canonicalJob is the coalescing identity of a buffered job: the
-// JobRequest with both model descriptions replaced by their resolved
-// Key() strings and the strategy default applied. Marshalling this —
-// rather than the decoded JobRequest itself — makes semantically
-// identical spellings (explicit family vs omitted, explicit preset T
-// vs zero, "auto" vs "") coalesce. Stream is deliberately absent:
-// streamed responses never enter the flight group.
-type canonicalJob struct {
-	Kind      string    `json:"kind"`
-	Model     string    `json:"model"`
-	Ref       string    `json:"ref,omitempty"`
-	RefFamily []Curve   `json:"ref_family,omitempty"`
-	VG        float64   `json:"vg,omitempty"`
-	VD        float64   `json:"vd,omitempty"`
-	Gates     []float64 `json:"gates,omitempty"`
-	Drains    []float64 `json:"drains,omitempty"`
-	Strategy  string    `json:"strategy"`
-	Workers   int       `json:"workers,omitempty"`
-	Repeat    int       `json:"repeat,omitempty"`
-	EFSigma   float64   `json:"ef_sigma,omitempty"`
-	DiamSigma float64   `json:"diameter_sigma,omitempty"`
-	Samples   int       `json:"samples,omitempty"`
-	Seed      int64     `json:"seed,omitempty"`
-}
-
 // coalesceKey canonicalises a decoded request into its flight-group
 // key. Two requests get the same key exactly when they resolve to the
-// same engine run: same kind, same resolved model identities, same
-// grids and scheduling parameters.
+// same engine run: same kind, same resolved model identities (Key()
+// strings), same grids and scheduling parameters, with the strategy
+// default applied — so semantically identical spellings (explicit
+// family vs omitted, explicit preset T vs zero, "auto" vs "")
+// coalesce. The key is rendered by the result encoder as the JSON
+// object encoding/json would write for those fields (omitempty on all
+// but kind, model and strategy); floats print in shortest round-trip
+// form, so any differing value changes the key. Stream is deliberately
+// absent: streamed responses never enter the flight group.
 func coalesceKey(jr JobRequest) (string, error) {
-	cj := canonicalJob{
-		Kind:      jr.Kind,
-		Model:     RouteKey(jr),
-		RefFamily: jr.RefFamily,
-		VG:        jr.VG,
-		VD:        jr.VD,
-		Gates:     jr.Gates,
-		Drains:    jr.Drains,
-		Strategy:  jr.Strategy,
-		Workers:   jr.Workers,
-		Repeat:    jr.Repeat,
-		EFSigma:   jr.EFSigma,
-		DiamSigma: jr.DiameterSigma,
-		Samples:   jr.Samples,
-		Seed:      jr.Seed,
+	strategy := jr.Strategy
+	if strategy == "" {
+		strategy = "auto"
 	}
+	e := getEncoder()
+	defer putEncoder(e)
+	e.b = append(e.b, `{"kind":`...)
+	e.str(jr.Kind)
+	e.b = append(e.b, `,"model":`...)
+	e.str(RouteKey(jr))
 	if jr.Ref != nil {
-		cj.Ref = jr.Ref.Key()
+		e.b = append(e.b, `,"ref":`...)
+		e.str(jr.Ref.Key())
 	}
-	if cj.Strategy == "" {
-		cj.Strategy = "auto"
+	if len(jr.RefFamily) > 0 {
+		e.b = append(e.b, `,"ref_family":`...)
+		e.curves(jr.RefFamily)
 	}
-	b, err := json.Marshal(cj)
-	if err != nil {
-		return "", fmt.Errorf("server: coalesce key: %w", err)
+	e.optFloat(`,"vg":`, jr.VG)
+	e.optFloat(`,"vd":`, jr.VD)
+	if len(jr.Gates) > 0 {
+		e.b = append(e.b, `,"gates":`...)
+		e.floats(jr.Gates)
 	}
-	return string(b), nil
+	if len(jr.Drains) > 0 {
+		e.b = append(e.b, `,"drains":`...)
+		e.floats(jr.Drains)
+	}
+	e.b = append(e.b, `,"strategy":`...)
+	e.str(strategy)
+	e.optInt(`,"workers":`, int64(jr.Workers))
+	e.optInt(`,"repeat":`, int64(jr.Repeat))
+	e.optFloat(`,"ef_sigma":`, jr.EFSigma)
+	e.optFloat(`,"diameter_sigma":`, jr.DiameterSigma)
+	e.optInt(`,"samples":`, int64(jr.Samples))
+	e.optInt(`,"seed":`, jr.Seed)
+	e.b = append(e.b, '}')
+	if e.err != nil {
+		return "", fmt.Errorf("server: coalesce key: %w", e.err)
+	}
+	return string(e.b), nil
 }

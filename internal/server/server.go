@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
@@ -289,10 +290,16 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if coalesced {
 		telemetry.SpanFrom(ctx).Set(telemetry.Bool(telemetry.AttrCoalesced, true))
 	}
-	status := http.StatusOK
+	// The whole body is encoded before the status goes out, so a result
+	// JSON cannot carry (a non-finite float) still gets an honest 422.
+	e := getEncoder()
+	defer putEncoder(e)
+	if err == nil {
+		wire := toWire(jr.Kind, res)
+		err = e.response(&wire)
+	}
 	if err != nil {
-		var class string
-		status, class = statusOf(err)
+		status, class := statusOf(err)
 		if status == StatusClientClosedRequest {
 			reg.Counter(telemetry.KeyServerCanceled).Inc()
 		} else {
@@ -302,8 +309,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, class, err)
 		return
 	}
-	s.logJob(ctx, jr.Kind, meta, status, res)
-	writeJSON(w, http.StatusOK, toWire(jr.Kind, res))
+	s.logJob(ctx, jr.Kind, meta, http.StatusOK, res)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(e.b)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; nothing is left to tell it.
+	_, _ = w.Write(e.b)
 }
 
 // runCoalesced routes a buffered job through the flight group. A

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -627,5 +628,49 @@ func TestTimeoutCancels(t *testing.T) {
 	var er ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Class != "canceled" {
 		t.Fatalf("499 body not classified: %s", w.Body)
+	}
+}
+
+// nanSolver answers every bias point with NaN, standing in for a model
+// pushed outside its numerical range.
+type nanSolver struct{}
+
+func (nanSolver) IDS(fettoy.Bias) (float64, error) { return math.NaN(), nil }
+
+// TestNonFiniteResultAnswers422 is the regression test for results
+// JSON cannot carry: they used to answer an empty 200 (buffered) or
+// end the stream without a done frame. Both paths now report a
+// numerical failure — 422 with an error body, or an in-band error
+// frame — whether the non-finite value is a summary (an overflowing
+// RMS) or a streamed row.
+func TestNonFiniteResultAnswers422(t *testing.T) {
+	overflow := `{"kind":"rms-compare","model":{},"gates":[0.5],"drains":[0.1,0.2],` +
+		`"ref_family":[{"vg":0.5,"vds":[0.1,0.2],"ids":[1e308,1e308]}]}`
+	nanRows := `{"kind":"family-sweep","model":{},"gates":[0.5,0.6],"drains":[0.1,0.2]}`
+	cases := []struct {
+		name, body string
+		h          http.Handler
+	}{
+		{"overflowing rms", overflow, New(Config{}).Handler()},
+		{"nan rows", nanRows, New(Config{Resolver: fakeResolver{nanSolver{}}}).Handler()},
+	}
+	for _, c := range cases {
+		w := post(t, c.h, c.body)
+		var er ErrorResponse
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: buffered status %d, want 422: %q", c.name, w.Code, w.Body)
+		} else if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Class != "numerical" {
+			t.Errorf("%s: buffered body %q (%v), want a numerical error", c.name, w.Body, err)
+		}
+
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(c.body))
+		req.Header.Set("Accept", "application/x-ndjson")
+		sw := httptest.NewRecorder()
+		c.h.ServeHTTP(sw, req)
+		frames := decodeFrames(t, sw.Body.String())
+		last := frames[len(frames)-1]
+		if last.Error == nil || last.Error.Class != "numerical" {
+			t.Errorf("%s: stream ended with %+v, want a numerical error frame: %q", c.name, last, sw.Body)
+		}
 	}
 }

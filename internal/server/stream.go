@@ -22,7 +22,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 
@@ -87,13 +86,18 @@ func mediaTypeIsNDJSON(accept string) bool {
 }
 
 // ndjsonSink adapts the response writer into an engine.Sink: encode
-// one frame per event, flush, count. Emit runs on the job's emitting
-// goroutine; a write or flush failure (client gone) aborts the job
-// through the sink-error path.
+// one frame per event, write it in one call, flush, count. Emit runs
+// on the job's emitting goroutine; a write or flush failure (client
+// gone) aborts the job through the sink-error path.
 type ndjsonSink struct {
-	enc  *json.Encoder
+	w    http.ResponseWriter
 	rc   *http.ResponseController
+	enc  *encoder
 	rows int64
+	// encodeErr is a row JSON cannot carry (a non-finite value). It
+	// aborts the job like a closed sink does, but it is the result's
+	// failure, not the client's, and is reported as such.
+	encodeErr error
 }
 
 func (s *ndjsonSink) Emit(ev engine.Event) error {
@@ -112,15 +116,25 @@ func (s *ndjsonSink) Emit(ev engine.Event) error {
 	default:
 		return nil
 	}
-	if err := s.enc.Encode(frame); err != nil {
+	s.enc.reset()
+	if err := s.enc.frame(&frame); err != nil {
+		s.encodeErr = err
 		return err
 	}
-	if err := s.rc.Flush(); err != nil {
+	if err := s.send(); err != nil {
 		return err
 	}
 	s.rows++
 	telemetry.Default().Counter(telemetry.KeyServerStreamRows).Inc()
 	return nil
+}
+
+// send writes the encoded frame and flushes it.
+func (s *ndjsonSink) send() error {
+	if _, err := s.w.Write(s.enc.b); err != nil {
+		return err
+	}
+	return s.rc.Flush()
 }
 
 // streamJob runs one job with its results streaming out as NDJSON.
@@ -140,11 +154,32 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jr JobRequest
 	}
 	w.WriteHeader(http.StatusOK)
 
-	sink := &ndjsonSink{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
+	sink := &ndjsonSink{w: w, rc: http.NewResponseController(w), enc: getEncoder()}
+	defer putEncoder(sink.enc)
 	req.Sink = sink
 	_, span := telemetry.StartSpan(ctx, telemetry.SpanServerStream)
 	res, err := engine.Run(ctx, req)
 	span.Set(telemetry.Int(telemetry.AttrRows, sink.rows))
+	if sink.encodeErr != nil {
+		err = sink.encodeErr
+	}
+	if err == nil {
+		done := toWire(jr.Kind, res)
+		// Rows already streamed; the done frame is summary only. (A
+		// streamed family-sweep Result carries no family anyway — the
+		// engine skips buffering when a sink is set — but rms-compare
+		// buffers both families for the RMS computation, and Monte Carlo
+		// retains its samples for the percentiles.)
+		done.Family = nil
+		done.RefFamily = nil
+		if done.MC != nil {
+			mc := *done.MC
+			mc.Samples = nil
+			done.MC = &mc
+		}
+		sink.enc.reset()
+		err = sink.enc.frame(&StreamFrame{Done: &done})
+	}
 	if err != nil {
 		status, class := statusOf(err)
 		if status == StatusClientClosedRequest {
@@ -157,25 +192,12 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jr JobRequest
 		s.logJob(ctx, jr.Kind, meta, status, res)
 		// The 200 and any rows are already on the wire; the failure
 		// travels in-band. Undeliverable when the client is the reason.
-		_ = sink.enc.Encode(StreamFrame{Error: &ErrorResponse{Error: err.Error(), Class: class}})
-		_ = sink.rc.Flush()
+		sink.enc.reset()
+		_ = sink.enc.frame(&StreamFrame{Error: &ErrorResponse{Error: err.Error(), Class: class}})
+		_ = sink.send()
 		return
 	}
 	span.End()
 	s.logJob(ctx, jr.Kind, meta, http.StatusOK, res)
-	done := toWire(jr.Kind, res)
-	// Rows already streamed; the done frame is summary only. (A
-	// streamed family-sweep Result carries no family anyway — the
-	// engine skips buffering when a sink is set — but rms-compare
-	// buffers both families for the RMS computation, and Monte Carlo
-	// retains its samples for the percentiles.)
-	done.Family = nil
-	done.RefFamily = nil
-	if done.MC != nil {
-		mc := *done.MC
-		mc.Samples = nil
-		done.MC = &mc
-	}
-	_ = sink.enc.Encode(StreamFrame{Done: &done})
-	_ = sink.rc.Flush()
+	_ = sink.send()
 }

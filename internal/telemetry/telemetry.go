@@ -371,10 +371,7 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := Snapshot{Counters: map[string]int64{}}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
+	s := Snapshot{Counters: r.copyCounters()}
 	if len(r.gauges) > 0 {
 		s.Gauges = map[string]int64{}
 		for name, g := range r.gauges {
@@ -401,6 +398,24 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
+}
+
+// CounterValues copies the current counter values alone — the cheap
+// read behind per-job counter deltas, which never look at gauges,
+// timers or histograms. It equals Snapshot().Counters.
+func (r *Registry) CounterValues() map[string]int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.copyCounters()
+}
+
+// copyCounters copies the counter values; the caller holds r.mu.
+func (r *Registry) copyCounters() map[string]int64 {
+	m := make(map[string]int64, len(r.counters))
+	for name, c := range r.counters {
+		m[name] = c.Value()
+	}
+	return m
 }
 
 // WriteJSON writes the snapshot as one indented JSON object.

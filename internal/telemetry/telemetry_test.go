@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -241,5 +242,18 @@ func TestDefaultRegistryGate(t *testing.T) {
 	defer Disable()
 	if !On() {
 		t.Fatal("Enable did not flip the gate")
+	}
+}
+
+// TestCounterValuesMatchSnapshot pins the counters-only read to the
+// full snapshot's counter map, zero-valued counters included.
+func TestCounterValuesMatchSnapshot(t *testing.T) {
+	r := NewRegistry(true)
+	r.Counter("a.b").Add(3)
+	r.Counter("a.zero")
+	r.Gauge("g").Set(9)
+	r.Timer("t").Observe(time.Millisecond)
+	if got, want := r.CounterValues(), r.Snapshot().Counters; len(got) != 2 || !maps.Equal(got, want) {
+		t.Fatalf("CounterValues = %v, Snapshot().Counters = %v", got, want)
 	}
 }
